@@ -22,17 +22,11 @@ namespace {
 
 using namespace rica;
 
-harness::ScenarioResult run(const harness::Flags& flags,
+/// Runs `base` (the same scenario for every variant) with `rica_cfg`.
+harness::ScenarioResult run(harness::ScenarioConfig base, int trials,
                             const core::RicaConfig& rica_cfg) {
-  harness::ScenarioConfig cfg =
-      harness::preset_config(flags.get("preset", std::string("paper")));
-  cfg.protocol = harness::ProtocolKind::kRica;
-  cfg.mean_speed_kmh = flags.get("mean-speed", 54.0);
-  cfg.pkts_per_s = flags.get("rate", 10.0);
-  cfg.sim_s = flags.get("sim-time", 80.0);
-  cfg.seed = flags.get("seed", static_cast<std::uint64_t>(1));
-  cfg.rica = rica_cfg;
-  return harness::run_trials(cfg, flags.get("trials", 3));
+  base.rica = rica_cfg;
+  return harness::run_trials(base, trials);
 }
 
 void add_row(harness::Table& table, const std::string& name,
@@ -49,6 +43,15 @@ void add_row(harness::Table& table, const std::string& name,
 int main(int argc, char** argv) {
   try {
     const harness::Flags flags(argc, argv);
+    harness::ScenarioConfig base =
+        harness::preset_config(flags.get("preset", std::string("paper")));
+    base.protocol = harness::ProtocolKind::kRica;
+    base.mean_speed_kmh = flags.get("mean-speed", 54.0);
+    base.pkts_per_s = flags.get("rate", 10.0);
+    base.sim_s = flags.get("sim-time", 80.0);
+    base.seed = flags.get("seed", static_cast<std::uint64_t>(1));
+    const int trials = flags.get("trials", 3);
+    flags.reject_unread();
     harness::Table table({"variant", "delivery_%", "delay_ms",
                           "overhead_kbps", "link_tput_kbps", "hops"});
 
@@ -58,7 +61,7 @@ int main(int argc, char** argv) {
       cfg.check_period = sim::seconds_f(period_s);
       std::cerr << "[ablation] check period " << period_s << " s\n";
       add_row(table, "check_period=" + harness::fmt(period_s, 2) + "s",
-              run(flags, cfg));
+              run(base, trials, cfg));
     }
 
     // Adaptive checking (the paper's future-work hint).
@@ -66,7 +69,7 @@ int main(int argc, char** argv) {
       core::RicaConfig cfg;
       cfg.adaptive_checks = true;
       std::cerr << "[ablation] adaptive check period\n";
-      add_row(table, "adaptive_checks", run(flags, cfg));
+      add_row(table, "adaptive_checks", run(base, trials, cfg));
     }
 
     // CSI-proportional flood jitter off: floods race at uniform speed, so
@@ -75,7 +78,7 @@ int main(int argc, char** argv) {
       core::RicaConfig cfg;
       cfg.csi_jitter = sim::Time::zero();
       std::cerr << "[ablation] csi jitter off\n";
-      add_row(table, "csi_jitter=off", run(flags, cfg));
+      add_row(table, "csi_jitter=off", run(base, trials, cfg));
     }
 
     // Wider checking scope (more TTL slack): better candidates, more
@@ -84,7 +87,7 @@ int main(int argc, char** argv) {
       core::RicaConfig cfg;
       cfg.check_ttl_slack = 6;
       std::cerr << "[ablation] check ttl slack 6\n";
-      add_row(table, "check_ttl_slack=6", run(flags, cfg));
+      add_row(table, "check_ttl_slack=6", run(base, trials, cfg));
     }
 
     std::cout << "RICA ablation (defaults: check 1 s, jitter 10 ms/unit, "

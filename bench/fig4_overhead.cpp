@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
     const BenchScale scale = bench_scale(flags, /*def_trials=*/3,
                                          /*def_sim_s=*/100.0);
     const auto speeds = flags.get_list("speeds", paper_speeds());
+    flags.reject_unread();
 
     const auto grid = run_speed_sweep(speeds, {10.0, 20.0}, scale);
     const auto kbps = [](const ScenarioResult& r) { return r.overhead_kbps; };

@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
                                          /*def_sim_s=*/100.0);
     const double speed = flags.get("mean-speed", 72.0);
     const double load = flags.get("rate", 10.0);
+    flags.reject_unread();
 
     Table table({"protocol", "avg_link_throughput_kbps", "avg_hops"});
     for (const auto proto : kAllProtocols) {

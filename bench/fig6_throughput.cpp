@@ -54,6 +54,7 @@ int main(int argc, char** argv) {
     const BenchScale scale = bench_scale(flags, /*def_trials=*/3,
                                          /*def_sim_s=*/100.0);
     const double speed = flags.get("mean-speed", 36.0);
+    flags.reject_unread();
     run_panel(scale, 20.0, speed,
               "Figure 6(a): aggregate throughput (kbps per 4 s), 20 pkt/s");
     run_panel(scale, 60.0, speed,

@@ -69,6 +69,7 @@ int main(int argc, char** argv) {
     if (flags.has("trace")) {
       models.push_back("trace:file=" + flags.get("trace", std::string{}));
     }
+    flags.reject_unread();
 
     const auto grid = run_speed_sweep({speed}, {rate}, models, scale);
     const std::string point = " at " + harness::fmt(speed, 0) + " km/h, " +

@@ -249,21 +249,16 @@ BENCHMARK(BM_SweepThroughput)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// City-scale kernel scaling: the metro preset (500 nodes / 3 km²) on four
-// column shards, staged by `range(0)` worker threads; arg 0 is the serial
-// (unsharded) reference row.  Throughput is kernel events per wall-clock
-// second (UseRealTime), the cores-vs-throughput axis of the sharded-kernel
-// scaling table in BENCH_scale.json.  The metrics of every row are
-// identical by construction — only the wall clock moves — so the rows
-// double as a determinism smoke at bench scale.
+// City-scale full stack: the metro preset (500 nodes / 3 km²) for half a
+// simulated second.  Throughput is kernel events per wall-clock second
+// (UseRealTime).  The single Arg(0) keeps the row's historical name,
+// BM_CityScaleKernel/0/real_time, so the committed baseline in
+// BENCH_scale.json keeps guarding it.
 void BM_CityScaleKernel(benchmark::State& state) {
-  const auto threads = static_cast<unsigned>(state.range(0));
   std::uint64_t events = 0;
   for (auto _ : state) {
     harness::ScenarioConfig cfg = harness::preset_config("metro");
     cfg.sim_s = 0.5;
-    cfg.shards = threads == 0 ? 1 : 4;
-    cfg.threads = threads == 0 ? 1 : threads;
     const auto r = harness::run_scenario(cfg);
     events += r.events_executed;
     benchmark::DoNotOptimize(r.delivered);
@@ -272,9 +267,6 @@ void BM_CityScaleKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_CityScaleKernel)
     ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -23,6 +23,8 @@ int main(int argc, char** argv) {
   using namespace rica;
   try {
     const harness::Flags flags(argc, argv);
+    const double speed = flags.get("speed", 10.0);
+    const std::string spec = flags.get("mobility", std::string{"waypoint"});
 
     // Part 1: class population by distance, from a large static sample.
     // With --preset the sample uses that scenario's field and population
@@ -37,6 +39,7 @@ int main(int argc, char** argv) {
       sample_nodes = std::max<std::size_t>(100, preset.num_nodes);
       wp.field = mobility::Field{preset.field_m, preset.field_m};
     }
+    flags.reject_unread();
     wp.max_speed_mps = 0.0;
     mobility::MobilityManager mobility(sample_nodes, wp, rng);
     channel::ChannelModel model(channel::ChannelConfig{}, mobility, rng);
@@ -70,8 +73,6 @@ int main(int argc, char** argv) {
     table.print(std::cout);
 
     // Part 2: one moving pair's class over time, under a selectable model.
-    const double speed = flags.get("speed", 10.0);
-    const std::string spec = flags.get("mobility", std::string{"waypoint"});
     mobility::MobilityConfig wp2 = mobility::parse_mobility_spec(spec);
     wp2.field = mobility::Field{200.0, 200.0};  // stays in range
     wp2.max_speed_mps = speed;

@@ -71,6 +71,7 @@ int main(int argc, char** argv) {
     cfg.num_nodes = 50;
     cfg.mobility.max_speed_mps = 2.0 * flags.get("mean-speed", 18.0) / 3.6;
     cfg.seed = flags.get("seed", static_cast<std::uint64_t>(1));
+    flags.reject_unread();
 
     net::Network network(cfg);
     install(network, kind, rate * 512 * 8);

@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
     cfg.sim_s = flags.get("sim-time", 100.0);
     cfg.seed = flags.get("seed", static_cast<std::uint64_t>(1));
     const int trials = flags.get("trials", 3);
+    flags.reject_unread();
 
     std::cout << "Five-protocol face-off: " << cfg.num_nodes << " nodes, "
               << cfg.mobility << " mobility, " << cfg.mean_speed_kmh

@@ -27,11 +27,10 @@
 // All sim-time stamped: rerunning the same seed reproduces every output
 // byte for byte.
 //
-// Scale: `--preset large-scale --shards 8 --threads 4` runs the 10k-node
-// city on the sharded parallel kernel.  The metrics — and the stream hash —
-// are identical for any --threads/--shards value, because the kernel
-// commits events in global (time, sequence) order regardless of how the
-// staging work is split (see DESIGN.md, "Sharded parallel kernel").
+// Scale: `--preset metro` (500 nodes) and `--preset large-scale` (10000
+// nodes) run one trial on one thread; for many trials or a parameter grid
+// on several cores, use the figure benches' `--threads`.  Flags this
+// program does not read are rejected by name.
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -59,8 +58,6 @@ int main(int argc, char** argv) {
     cfg.mobility = flags.get("mobility", cfg.mobility);
     cfg.traffic = flags.get("traffic", cfg.traffic);
     cfg.seed = flags.get("seed", static_cast<std::uint64_t>(1));
-    cfg.threads = static_cast<unsigned>(flags.get("threads", 1));
-    cfg.shards = static_cast<std::uint32_t>(flags.get("shards", 1));
     cfg.trace_out = flags.get("trace-out", std::string{});
     cfg.trace_filter = flags.get("trace-filter", cfg.trace_filter);
     if (flags.has("span-trace") &&
@@ -80,6 +77,10 @@ int main(int argc, char** argv) {
     }
     cfg.flight_dump = flags.get("flight-dump", std::string{});
     cfg.watchdogs = flags.has("watchdogs");
+    const std::string record_path = flags.get("record-trace", std::string{});
+    const auto record_dt = sim::seconds_f(flags.get("trace-dt", 1.0));
+    const bool verbose = flags.has("verbose");
+    flags.reject_unread();
 
     std::printf("protocol=%s  nodes=%zu  field=%.0fm  mean speed=%.1f km/h\n",
                 std::string(harness::to_string(cfg.protocol)).c_str(),
@@ -87,24 +88,20 @@ int main(int argc, char** argv) {
     std::printf("flows=%zu x %.0f pkt/s x %u B, sim time=%.0f s, seed=%llu\n",
                 cfg.num_pairs, cfg.pkts_per_s, cfg.packet_bytes, cfg.sim_s,
                 static_cast<unsigned long long>(cfg.seed));
-    std::printf("mobility=%s  traffic=%s  warmup=%.0f s\n",
+    std::printf("mobility=%s  traffic=%s  warmup=%.0f s\n\n",
                 cfg.mobility.c_str(), cfg.traffic.c_str(), cfg.warmup_s);
-    std::printf("kernel: %u shard(s), %u staging thread(s)\n\n", cfg.shards,
-                cfg.threads);
 
-    if (flags.has("record-trace")) {
+    if (!record_path.empty()) {
       // Rebuild the run's mobility realization (same seed -> same named RNG
       // streams -> identical trajectories) and record it for replay.
-      const auto path = flags.get("record-trace", std::string{});
       const auto mob = harness::scenario_mobility_config(cfg);
       const sim::RngManager rng(cfg.seed);
       const auto model = mobility::make_mobility_model(cfg.num_nodes, mob, rng);
-      const auto dt = sim::seconds_f(flags.get("trace-dt", 1.0));
-      mobility::write_bonnmotion_trace(*model, sim::seconds_f(cfg.sim_s), dt,
-                                       path);
+      mobility::write_bonnmotion_trace(*model, sim::seconds_f(cfg.sim_s),
+                                       record_dt, record_path);
       std::printf("recorded mobility to %s; replay with"
                   " --mobility trace:file=%s\n\n",
-                  path.c_str(), path.c_str());
+                  record_path.c_str(), record_path.c_str());
     }
 
     const auto r = harness::run_scenario(cfg);
@@ -133,17 +130,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.drops[2]),
                 static_cast<unsigned long long>(r.drops[3]),
                 static_cast<unsigned long long>(r.drops[4]));
-    if (cfg.shards > 1) {
-      const auto stat = [&r](const char* name) {
-        const auto it = r.stats.find(name);
-        return it == r.stats.end() ? 0.0 : it->second.value;
-      };
-      std::printf("sharded kernel        : %.0f windows, %.0f staged, "
-                  "%.0f cross-shard sends (%.0f sync crossings)\n",
-                  stat("kernel.windows"), stat("kernel.staged_events"),
-                  stat("kernel.cross_shard_sends"),
-                  stat("kernel.sync_crossings"));
-    }
     if (!cfg.trace_out.empty()) {
       std::printf("structured trace      : %s\n", cfg.trace_out.c_str());
     }
@@ -168,7 +154,7 @@ int main(int argc, char** argv) {
     if (!cfg.flight_dump.empty()) {
       std::printf("flight dump           : %s\n", cfg.flight_dump.c_str());
     }
-    if (flags.has("verbose")) {
+    if (verbose) {
       std::printf("\nper-flow (gen/del/drop, tput kbps, p95 ms):\n");
       for (const auto& fs : r.flow_summaries) {
         std::printf("  flow %-3u %6llu /%6llu /%6llu  %8.1f  %8.1f\n",

@@ -32,33 +32,39 @@ Flags::Flags(int argc, const char* const* argv) {
 }
 
 bool Flags::has(const std::string& name) const {
+  read_.insert(name);
   return values_.count(name) > 0;
 }
 
 std::string Flags::get(const std::string& name,
                        const std::string& fallback) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   return it == values_.end() ? fallback : it->second;
 }
 
 double Flags::get(const std::string& name, double fallback) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   return it == values_.end() ? fallback : std::stod(it->second);
 }
 
 int Flags::get(const std::string& name, int fallback) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   return it == values_.end() ? fallback : std::stoi(it->second);
 }
 
 std::uint64_t Flags::get(const std::string& name,
                          std::uint64_t fallback) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   return it == values_.end() ? fallback : std::stoull(it->second);
 }
 
 std::vector<double> Flags::get_list(const std::string& name,
                                     const std::vector<double>& fallback) const {
+  read_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   std::vector<double> out;
@@ -68,6 +74,18 @@ std::vector<double> Flags::get_list(const std::string& name,
     if (!item.empty()) out.push_back(std::stod(item));
   }
   return out;
+}
+
+void Flags::reject_unread() const {
+  std::string unread;
+  for (const auto& [name, value] : values_) {
+    if (read_.count(name) > 0) continue;
+    unread += unread.empty() ? "--" : ", --";
+    unread += name;
+  }
+  if (!unread.empty()) {
+    throw std::invalid_argument("unknown flag(s): " + unread);
+  }
 }
 
 BenchScale bench_scale(const Flags& flags, int def_trials, double def_sim_s) {

@@ -1,17 +1,21 @@
 // A tiny command-line flag parser for the bench and example binaries.
 //
-// Supported forms: --name value and --name=value.  Unknown flags abort with
-// a usage message so typos never silently run the wrong experiment.
+// Supported forms: --name value and --name=value.  Every accessor records
+// the name it reads; after reading all its flags a binary calls
+// reject_unread(), so a typo (or a retired flag) fails by name instead of
+// silently running the wrong experiment.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 namespace rica::harness {
 
-/// Parsed command-line flags with typed accessors and defaults.
+/// Parsed command-line flags with typed accessors and defaults.  Accessors
+/// record the names they read, so a Flags object is read from one thread.
 class Flags {
  public:
   /// Parses argv; throws std::invalid_argument on malformed input.
@@ -29,13 +33,13 @@ class Flags {
   [[nodiscard]] std::vector<double> get_list(
       const std::string& name, const std::vector<double>& fallback) const;
 
-  /// Names seen on the command line (for validation by the binary).
-  [[nodiscard]] const std::map<std::string, std::string>& all() const {
-    return values_;
-  }
+  /// Throws std::invalid_argument naming every flag on the command line
+  /// that no has()/get()/get_list() call has read.
+  void reject_unread() const;
 
  private:
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 /// Common scale flags shared by every figure bench:

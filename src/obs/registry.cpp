@@ -36,18 +36,6 @@ void Registry::gauge_fn(const std::string& name, std::function<double()> fn) {
   e.fn = std::move(fn);
 }
 
-LogHistogram& Registry::histogram(const std::string& name) {
-  auto& slot = histograms_[name];
-  slot = std::make_unique<LogHistogram>();
-  return *slot;
-}
-
-std::map<std::string, LogHistogram> Registry::histogram_snapshot() const {
-  std::map<std::string, LogHistogram> out;
-  for (const auto& [name, h] : histograms_) out.emplace(name, *h);
-  return out;
-}
-
 std::vector<Sample> Registry::snapshot() const {
   std::vector<Sample> out;
   out.reserve(entries_.size());

@@ -27,8 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/histogram.hpp"
-
 namespace rica::obs {
 
 enum class StatKind : std::uint8_t {
@@ -82,18 +80,6 @@ class Registry {
   /// Registers a lazily read gauge.
   void gauge_fn(const std::string& name, std::function<double()> fn);
 
-  /// Registers an owned log-bucketed histogram under `name` and returns
-  /// it; stable address for the registry's lifetime.  Histograms live in
-  /// their own namespace (a name may be both a scalar and a histogram) and
-  /// are snapshotted separately — trial aggregation merges them exactly
-  /// (see LogHistogram::merge), so cross-trial percentiles come from the
-  /// pooled distribution rather than a mean of per-trial points.
-  LogHistogram& histogram(const std::string& name);
-
-  /// Copies every registered histogram (sorted by name — std::map order).
-  [[nodiscard]] std::map<std::string, LogHistogram> histogram_snapshot()
-      const;
-
   /// Reads every registered entry; result is sorted by name.
   [[nodiscard]] std::vector<Sample> snapshot() const;
 
@@ -109,8 +95,6 @@ class Registry {
     std::function<double()> fn;
   };
   std::map<std::string, Entry> entries_;  // sorted: stable snapshots
-  // unique_ptr keeps histogram addresses stable across registrations.
-  std::map<std::string, std::unique_ptr<LogHistogram>> histograms_;
 };
 
 /// Folds a trial's samples into an accumulated map according to each

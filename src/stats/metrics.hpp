@@ -139,12 +139,11 @@ struct MetricsSummary {
   /// registration, not a summary field.  Across trials, average() folds by
   /// kind: counters sum, gauges keep the maximum.
   std::map<std::string, obs::Sample> stats;
-  /// Bounded log-bucketed distributions, keyed by name: always-on
-  /// "delay_ns" / "queue_depth" / "airtime_ns" from the collector plus any
-  /// histogram registered in the obs::Registry (e.g. the sharded kernel's
-  /// "kernel.staged_per_window").  Across trials, average() merges by name
-  /// — LogHistogram::merge is exact and associative, so pooled percentiles
-  /// are identical no matter how trials are grouped.
+  /// Bounded log-bucketed distributions, keyed by name: the collector's
+  /// always-on "delay_ns" / "queue_depth" / "airtime_ns".  Across trials,
+  /// average() merges by name — LogHistogram::merge is exact and
+  /// associative, so pooled percentiles are identical no matter how trials
+  /// are grouped.
   std::map<std::string, obs::LogHistogram> histograms;
 };
 

@@ -72,6 +72,36 @@ TEST(Flags, DefaultsWhenAbsent) {
   EXPECT_EQ(f.get("name", std::string{"x"}), "x");
 }
 
+TEST(Flags, UnreadFlagIsRejectedByName) {
+  // A misspelled --sim-time must fail, not silently run the default.
+  const auto f = parse({"--sim-tme", "5", "--seed", "3", "--retired=4"});
+  EXPECT_EQ(f.get("sim-time", 60.0), 60.0);
+  EXPECT_EQ(f.get("seed", std::uint64_t{1}), 3u);
+  try {
+    f.reject_unread();
+    FAIL() << "unread flags were accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("--sim-tme"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("--retired"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("--seed"), std::string::npos) << msg;
+  }
+}
+
+TEST(Flags, FullyReadSetPasses) {
+  // has(), every get() overload and get_list() all count as reads.
+  const auto f = parse({"--verbose", "--name", "x", "--trials", "2",
+                        "--rate", "1.5", "--seed", "9", "--speeds", "0,36"});
+  EXPECT_TRUE(f.has("verbose"));
+  EXPECT_EQ(f.get("name", std::string{}), "x");
+  EXPECT_EQ(f.get("trials", 0), 2);
+  EXPECT_EQ(f.get("rate", 0.0), 1.5);
+  EXPECT_EQ(f.get("seed", std::uint64_t{0}), 9u);
+  EXPECT_EQ(f.get_list("speeds", {}).size(), 2u);
+  EXPECT_NO_THROW(f.reject_unread());
+  EXPECT_NO_THROW(parse({}).reject_unread());
+}
+
 TEST(BenchScale, DefaultsApply) {
   const auto f = parse({});
   const auto s = bench_scale(f, 3, 100.0);
@@ -545,9 +575,9 @@ TEST(AdaptiveChecks, StillDeliversUnderMobility) {
 }
 
 // ---------------------------------------------------------------------------
-// validate_scenario: one thrown pass for population, shard, and warmup
-// bounds, with messages naming the offending value (satellite of the
-// sharded-kernel work; run_scenario calls this before any construction).
+// validate_scenario: one thrown pass for population and warmup bounds, with
+// messages naming the offending value (run_scenario calls this before any
+// construction).
 // ---------------------------------------------------------------------------
 
 // Captures the exception message so tests can pin its content.
@@ -577,29 +607,6 @@ TEST(ValidateScenario, RejectsEmptyAndOversizedPopulations) {
   EXPECT_NE(msg.find("2^24"), std::string::npos) << msg;
   cfg.num_nodes = std::size_t{1} << 24;  // the limit itself is legal
   EXPECT_NO_THROW(validate_scenario(cfg));
-}
-
-TEST(ValidateScenario, RejectsMoreShardsThanTheKernelSupports) {
-  ScenarioConfig cfg;
-  cfg.field_m = 100000.0;  // plenty of columns; the shard-id cap must fire
-  cfg.shards = 65;
-  const auto msg = validation_error(cfg);
-  EXPECT_NE(msg.find("shards = 65"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("64-shard limit"), std::string::npos) << msg;
-}
-
-TEST(ValidateScenario, RejectsMoreShardsThanGridColumns) {
-  ScenarioConfig cfg;  // 1000 m field at 250 m range: 4 columns
-  cfg.shards = 5;
-  const auto msg = validation_error(cfg);
-  EXPECT_NE(msg.find("shards = 5"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("4 grid column"), std::string::npos) << msg;
-  cfg.shards = 4;
-  EXPECT_NO_THROW(validate_scenario(cfg));
-  // run_scenario front-loads the same check before building a network.
-  cfg.shards = 5;
-  EXPECT_THROW({ auto r = run_scenario(cfg); (void)r; },
-               std::invalid_argument);
 }
 
 TEST(ValidateScenario, RejectsWarmupOutsideTheRun) {

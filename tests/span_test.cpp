@@ -19,7 +19,6 @@
 #include "harness/scenario.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/histogram.hpp"
-#include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "sim/time.hpp"
@@ -402,17 +401,6 @@ TEST(LogHistogram, MergeIsExactAndAssociative) {
   obs::LogHistogram with_empty = left;
   with_empty.merge(obs::LogHistogram{});
   EXPECT_EQ(with_empty, left);
-}
-
-TEST(LogHistogram, RegistryPoolsAcrossTrials) {
-  obs::Registry reg;
-  auto& h = reg.histogram("x");
-  h.record(10);
-  h.record(100);
-  const auto snap = reg.histogram_snapshot();
-  ASSERT_EQ(snap.count("x"), 1u);
-  EXPECT_EQ(snap.at("x").count(), 2u);
-  EXPECT_EQ(snap.at("x"), h);
 }
 
 TEST(Average, PoolsDelayHistogramsExactly) {

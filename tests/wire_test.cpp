@@ -1,8 +1,8 @@
 // Wire codec suite (net/wire.hpp): randomized round-trip property per
 // message type, decoder rejection of malformed frames (truncation at every
 // prefix, bad type tags, trailing bytes, out-of-range node ids, bad CSI
-// classes, inconsistent LSU counts), and the layout-invariant cross-checks
-// the lookahead floor leans on.
+// classes, inconsistent LSU counts), and the layout-invariant cross-check
+// airtime accounting leans on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -335,16 +335,6 @@ TEST(WireError_, CarriesOffsetDiagnostics) {
 
 TEST(WireInvariants, StartupCheckPasses) {
   EXPECT_NO_THROW(wire::check_wire_invariants());
-}
-
-TEST(WireInvariants, LookaheadFloorIsTheSmallestEncodableFrame) {
-  // The sharded kernel's conservative window is derived from
-  // wire::kMinControlBytes; it must equal the smallest frame the codecs
-  // can actually emit (the ABR beacon).
-  std::vector<std::uint8_t> buf;
-  const std::size_t n =
-      wire::encode_control(make_control(kBroadcastId, AbrBeaconMsg{}), buf);
-  EXPECT_EQ(n, wire::kMinControlBytes);
 }
 
 }  // namespace
